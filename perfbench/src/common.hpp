@@ -14,7 +14,13 @@
 
 namespace perfbench {
 
-inline constexpr int kGenerators = 2;
+/// Load-generator threads. One generator spends about as much CPU per
+/// handshake, and more per record, as the server does; with two the
+/// generators still fall behind whenever the server runs fast, and the
+/// latency figures then measure the generators' queue. Three keep the
+/// server the only bottleneck, so a closed loop's latency follows its
+/// throughput.
+inline constexpr int kGenerators = 3;
 
 /// Steady clock in nanoseconds, one epoch for every thread of the process.
 inline std::int64_t now_ns() {

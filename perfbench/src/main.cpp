@@ -26,7 +26,7 @@ namespace perfbench {
 namespace {
 
 /// Set-up is repeated this many times per run; setup_s is the median.
-constexpr int kSetupRepeats = 3;
+constexpr int kSetupRepeats = 5;
 /// The traced run's window is capped here: per-layer numbers need
 /// thousands of ops, not the full run, and spans are kept in memory.
 constexpr double kMaxTracedSeconds = 3.0;
@@ -159,49 +159,27 @@ std::vector<Sample> merged_hs(const PhaseResult& p) {
   return out;
 }
 
-/// Handshake and record figures of the untraced run. kStream's handshakes
-/// all happen in set-up, so its handshake figures are the median over the
-/// set-ups of each set-up's figure.
-void end_to_end(const Workload& w, const std::vector<PhaseResult>& establishments,
-                const PhaseResult& p, double setup_s, Report& report) {
-  double sessions_per_s = 0.0, hs_p50 = 0.0, hs_p99 = 0.0;
-  std::size_t hs_samples = 0;
+/// Figures of the untraced run. An op is the unit of work the workload is
+/// about: on hs-storm a session, timed from connect() to a ready session at
+/// the client; on rec-stream a record, timed from make_data to the server's
+/// on_data. A figure of the other kind (rec-stream's handshakes happen only
+/// in set-up) would rest on a few seconds of samples and not repeat.
+void end_to_end(const Workload& w, const PhaseResult& p, double setup_s, Report& report) {
+  std::vector<Sample> latency_ms = merged_hs(p);
   if (w.kind == Kind::kStream) {
-    std::vector<double> rates, p50s, p99s;
-    for (const PhaseResult& e : establishments) {
-      const std::vector<Sample> hs = merged_hs(e);
-      std::int64_t last = e.start_ns;
-      for (const GenResult& g : e.gens) last = std::max(last, g.last_done_ns);
-      const double busy_ms = static_cast<double>(last - e.start_ns) * 1e-6;
-      rates.push_back(ratio(static_cast<double>(hs.size()), busy_ms * 1e-3));
-      p50s.push_back(windowed_quantile(hs, 0.50, busy_ms, busy_ms));
-      p99s.push_back(windowed_quantile(hs, 0.99, busy_ms, busy_ms));
-      hs_samples += hs.size();
-    }
-    sessions_per_s = quantile(rates, 0.5);
-    hs_p50 = quantile(p50s, 0.5);
-    hs_p99 = quantile(p99s, 0.5);
-  } else {
-    const std::vector<Sample> hs = merged_hs(p);
-    sessions_per_s = ops_per_s(p);
-    hs_p50 = windowed_quantile(hs, 0.50, window_ms(p), kSubWindowMs);
-    hs_p99 = windowed_quantile(hs, 0.99, window_ms(p), kSubWindowMs);
-    hs_samples = hs.size();
+    latency_ms = p.rec_us;
+    for (Sample& s : latency_ms) s.value *= 1e-3f;
   }
   report.add("setup_s", setup_s, "s");
-  report.add("sessions_per_s", sessions_per_s, "1/s");
-  report.add("hs_p50_ms", hs_p50, "ms");
-  report.add("hs_p99_ms", hs_p99, "ms");
-  report.add("records_per_s", ratio(static_cast<double>(p.window.records), p.window.wall_s),
-             "1/s");
-  report.add("rec_p50_us", windowed_quantile(p.rec_us, 0.50, window_ms(p), kSubWindowMs), "us");
-  report.add("rec_p99_us", windowed_quantile(p.rec_us, 0.99, window_ms(p), kSubWindowMs), "us");
+  report.add("ops_per_s", ops_per_s(p), "1/s");
+  report.add("op_p50_ms", windowed_quantile(latency_ms, 0.50, window_ms(p), kSubWindowMs), "ms");
+  report.add("op_p99_ms", windowed_quantile(latency_ms, 0.99, window_ms(p), kSubWindowMs), "ms");
   report.add("server_cpu_us_per_op", server_us_per_op(p), "us");
   report.add("success_ratio",
              1.0 - ratio(static_cast<double>(p.failed()), static_cast<double>(p.attempted())),
              "ratio");
-  std::printf("samples: %zu handshakes, %zu records; server busy %.3f of the window\n",
-              hs_samples, p.rec_us.size(), busy_ratio(p));
+  std::printf("samples: %zu op latencies; server busy %.3f of the window\n", latency_ms.size(),
+              busy_ratio(p));
 }
 
 /// Per-layer figures: spans of the traced run, library counters of the
@@ -359,14 +337,14 @@ int run(const Args& args) {
   }
 
   std::vector<double> setup_times;
-  std::vector<PhaseResult> establishments;
   std::unique_ptr<Fixture> fx;
+  bool setups_ok = true;  // every session a set-up established came up
   for (int i = 0; i < kSetupRepeats; ++i) {
     fx.reset();
     const std::int64_t start = now_ns();
     fx = setup(*w, args.seed);
     setup_times.push_back(static_cast<double>(now_ns() - start) * 1e-9);
-    if (w->kind == Kind::kStream) establishments.push_back(std::move(fx->establish));
+    setups_ok &= fx->establish.failed() == 0;
   }
   const double setup_s = quantile(setup_times, 0.5);
   std::printf("%s seed %" PRIu64 ": set-up %.3f s (median of %d)\n", args.workload.c_str(),
@@ -374,7 +352,7 @@ int run(const Args& args) {
 
   PhaseResult plain = run_phase(*fx, args.seconds, nullptr);
   bool correct = check_exact(*w, plain, "untraced");
-  for (const PhaseResult& e : establishments) correct &= e.failed() == 0;
+  correct &= setups_ok;
 
   // Server-bound guard: a closed-loop run in which the server idled
   // measured the generators. The untraced run is judged by the server
@@ -387,7 +365,7 @@ int run(const Args& args) {
   std::uint64_t attempted = plain.attempted();
   std::uint64_t failed = plain.failed();
   if (!args.trace) {
-    end_to_end(*w, establishments, plain, setup_s, report);
+    end_to_end(*w, plain, setup_s, report);
   } else {
     Tracer tracer(kMaxSpans);
     PhaseResult traced =

@@ -14,7 +14,7 @@ constexpr std::int64_t kWarmupNs = 300 * kMs;
 constexpr std::int64_t kDrainNs = 10000 * kMs;
 constexpr std::int64_t kOpTimeoutNs = 5000 * kMs;
 /// Handshakes each generator keeps in flight while establishing sessions.
-constexpr std::size_t kEstablishInFlight = 32;
+constexpr std::size_t kEstablishInFlight = 24;
 
 const Workload kWorkloads[] = {
     // hs-storm: cold peer cache (every A1 carries an unseen certificate),
@@ -28,7 +28,7 @@ const Workload kWorkloads[] = {
      .store_capacity = 1024,
      .peer_cache_capacity = 1024,
      .policy = {.records_per_epoch = 1024, .max_epochs = 8},
-     .in_flight = 32,
+     .in_flight = 24,
      .established = 0,
      .expect = {.ec_mul_per_op = 5, .wire_bytes_per_op = 780}},
     // rec-stream: zero EC work; per-datagram syscalls, epoll wakeups,
@@ -42,7 +42,7 @@ const Workload kWorkloads[] = {
      .store_capacity = 8192,
      .peer_cache_capacity = 8192,
      .policy = {.records_per_epoch = 128, .max_epochs = 1u << 30},
-     .in_flight = 128,
+     .in_flight = 96,
      .established = 4096,
      .expect = {.ec_mul_per_op = 0, .wire_bytes_per_op = 145}},
 };
@@ -54,6 +54,10 @@ struct Timing {
   std::int64_t window_end = 0;
   std::int64_t deadline = 0;  // in-flight ops still open here have failed
   std::array<std::atomic<std::uint64_t>, kGenerators> done{};  // ops completed
+  /// Set once the window's closing sample is taken. A generator thread
+  /// stays alive until then: the CPU clock of a thread that has ended
+  /// cannot be read.
+  std::atomic<bool> window_sampled{false};
 };
 
 void sleep_ns(std::int64_t ns) {
@@ -141,7 +145,6 @@ void run_handshakes(Fixture& fx, int g, Timing& t, bool establish, GenResult& ou
           out.hs_ms.push_back({static_cast<std::uint32_t>((op.start - t.window_start) / kMs),
                                static_cast<float>(static_cast<double>(done - op.start) * 1e-6)});
         t.done[g].fetch_add(1, std::memory_order_relaxed);
-        out.last_done_ns = done;
         if (establish) {
           gs.sessions.push_back(op.slot);
           active[i] = active.back();
@@ -235,8 +238,8 @@ PhaseResult run(Fixture& fx, double window_s, Tracer* tracer, bool establish) {
   t.window_start = establish ? t.phase_start : t.phase_start + kWarmupNs;
   t.window_end = t.window_start + static_cast<std::int64_t>(window_s * 1e9);
   t.deadline = t.window_end + kDrainNs;
+  t.window_sampled.store(establish, std::memory_order_relaxed);  // set-up takes no samples
   result.window_s = window_s;
-  result.start_ns = t.phase_start;
   fx.sink.reset(t.window_start, t.window_end);
   if (tracer != nullptr) tracer->set_window(t.window_start, t.window_end);
   result.before = fx.server->counters();
@@ -252,6 +255,7 @@ PhaseResult run(Fixture& fx, double window_s, Tracer* tracer, bool establish) {
         run_stream(fx, g, t, out);
       else
         run_handshakes(fx, g, t, establish, out);
+      while (!t.window_sampled.load(std::memory_order_acquire)) sleep_ns(100000);
     });
   }
   pin_threads(server_thread, generators);
@@ -277,11 +281,11 @@ PhaseResult run(Fixture& fx, double window_s, Tracer* tracer, bool establish) {
     const Sample first = sample();
     sleep_until_ns(t.window_end);
     const Sample last = sample();
+    t.window_sampled.store(true, std::memory_order_release);
     result.window.wall_s = static_cast<double>(last.wall - first.wall) * 1e-9;
     result.window.server_cpu_s = last.server_cpu - first.server_cpu;
     result.window.gen_cpu_s = last.gen_cpu - first.gen_cpu;
     result.window.ops = last.ops - first.ops;
-    result.window.records = last.records - first.records;
   }
   for (std::thread& thread : generators) thread.join();
   // Every record sent must reach the server before it stops.

@@ -74,21 +74,18 @@ struct GenResult {
   std::vector<Sample> hs_ms;  // ops started inside the window
   std::uint64_t on_message_ns = 0;
   std::uint64_t on_message_calls = 0;
-  std::int64_t last_done_ns = 0;
 };
 
 /// What the measurement window saw, from samples taken at its edges.
 struct Window {
   double wall_s = 0.0;
   double server_cpu_s = 0.0;  // server thread user + system time
-  double gen_cpu_s = 0.0;     // both generator threads
+  double gen_cpu_s = 0.0;     // all generator threads
   std::uint64_t ops = 0;      // ops completed (kStream: records opened)
-  std::uint64_t records = 0;  // records opened by the server
 };
 
 struct PhaseResult {
   double window_s = 0.0;
-  std::int64_t start_ns = 0;
   std::array<GenResult, kGenerators> gens;
   Window window;
   std::uint64_t records_delivered = 0;
