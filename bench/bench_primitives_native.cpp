@@ -172,12 +172,30 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(256)->Arg(4096);
 
+// The *Portable rows run the same loop with the SHA-NI tier switched off
+// (Sha256 re-reads ECQV_DISABLE_SHANI at every reset()), so each SHA row has
+// a same-binary tier pair. 78 B is the v2 record-MAC input: epoch, flags,
+// seq, direction and a 64 B ciphertext.
+void BM_Sha256Portable(benchmark::State& state) {
+  ::setenv("ECQV_DISABLE_SHANI", "1", 1);
+  BM_Sha256(state);
+  ::unsetenv("ECQV_DISABLE_SHANI");
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64);
+
 void BM_HmacSha256(benchmark::State& state) {
   const Bytes key(32, 0x0b);
   Bytes data(static_cast<std::size_t>(state.range(0)), 0xcd);
   for (auto _ : state) benchmark::DoNotOptimize(hash::hmac_sha256(key, data));
 }
-BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(256);
+BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(78)->Arg(256);
+
+void BM_HmacSha256Portable(benchmark::State& state) {
+  ::setenv("ECQV_DISABLE_SHANI", "1", 1);
+  BM_HmacSha256(state);
+  ::unsetenv("ECQV_DISABLE_SHANI");
+}
+BENCHMARK(BM_HmacSha256Portable)->Arg(78);
 
 void BM_HkdfSessionKeys(benchmark::State& state) {
   for (auto _ : state)

@@ -11,6 +11,7 @@
 #include "aes/aes128.hpp"
 #include "bigint/mont.hpp"
 #include "bigint/mont52.hpp"
+#include "hash/sha256.hpp"
 
 namespace ecqv::bench {
 
@@ -28,8 +29,10 @@ inline std::vector<std::pair<std::string, std::string>> cpu_context_pairs() {
       __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512ifma") != 0;
   const bool aesni = __builtin_cpu_supports("aes") != 0;
   const bool clmul = __builtin_cpu_supports("pclmul") != 0;
+  const bool sha_ni = __builtin_cpu_supports("sha") != 0;
 #else
-  const bool bmi2 = false, adx = false, ifma = false, aesni = false, clmul = false;
+  const bool bmi2 = false, adx = false, ifma = false, aesni = false, clmul = false,
+             sha_ni = false;
 #endif
   auto b = [](bool v) -> std::string { return v ? "true" : "false"; };
   return {{"hardware_concurrency", std::to_string(std::thread::hardware_concurrency())},
@@ -38,10 +41,12 @@ inline std::vector<std::pair<std::string, std::string>> cpu_context_pairs() {
           {"avx512ifma", b(ifma)},
           {"aesni", b(aesni)},
           {"pclmul", b(clmul)},
+          {"sha_ni", b(sha_ni)},
           {"adx_kernels_active", b(bi::mont_asm_available())},
           {"ifma_lane_active", b(bi::mont8_hw_available())},
           {"aesni_active", b(aes::aes_hw_available())},
-          {"clmul_active", b(aead::ghash_hw_available())}};
+          {"clmul_active", b(aead::ghash_hw_available())},
+          {"shani_active", b(hash::sha_hw_available())}};
 }
 
 /// Same provenance as a raw JSON fragment (leading ", ") for the

@@ -46,7 +46,8 @@
 // The --listen/--connect pair derive the same certificate authority from a
 // fixed seed, so certificates provisioned in the client process verify in
 // the server process — a real cross-process ECQV handshake over the
-// kernel's loopback stack.
+// kernel's loopback stack. Their brokers draw ephemeral scalars from the
+// system RNG, so a restarted process never replays an old session's keys.
 #include <unistd.h>
 
 #include <atomic>
@@ -65,7 +66,7 @@
 #include "net/loopback_soak.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
-#include "rng/locked_rng.hpp"
+#include "rng/system_rng.hpp"
 #include "rng/test_rng.hpp"
 
 using namespace ecqv;
@@ -88,7 +89,9 @@ bool handshake(proto::SessionBroker& client, proto::SessionBroker& server,
 // Both processes derive the SAME certificate authority from a fixed seed,
 // so the client process provisions certificates the server process
 // verifies — the trust anchor is shared out of band, the sessions are
-// negotiated over the real socket.
+// negotiated over the real socket. Only the trust anchor and the long-term
+// credentials are seeded: every broker draws its ephemeral ECDH scalars
+// from SystemRng, so the forward secrecy of a session survives restarts.
 
 constexpr std::uint64_t kSharedCaSeed = 90;
 constexpr const char* kBackendId = "fleet-backend";
@@ -135,8 +138,7 @@ int run_socket_server(bool tcp, std::uint16_t port, std::size_t workers, int ser
   config.broker.reliability.enabled = true;
   StatCounter records;
   config.broker.on_data = [&records](const cert::DeviceId&, Bytes) { ++records; };
-  rng::TestRng broker_rng(kSharedCaSeed + 2);
-  proto::ConcurrentSessionBroker server(creds, broker_rng, *transport, config);
+  proto::ConcurrentSessionBroker server(creds, rng::SystemRng::instance(), *transport, config);
   net::BrokerDriver driver(server, *transport);
 
   const double end_ms = net::FdTransport::steady_now_ms() + serve_seconds * 1000.0;
@@ -203,8 +205,6 @@ int run_socket_fleet(bool tcp, std::uint16_t port, std::size_t fleet_size) {
 
   struct Vehicle {
     std::unique_ptr<proto::Credentials> creds;
-    std::unique_ptr<rng::TestRng> rng;
-    std::unique_ptr<rng::LockedRng> locked;
     std::unique_ptr<proto::SessionBroker> broker;
     std::size_t sent = 0;
     bool done = false;
@@ -220,9 +220,8 @@ int run_socket_fleet(bool tcp, std::uint16_t port, std::size_t fleet_size) {
     v.creds = std::make_unique<proto::Credentials>(proto::provision_device(
         ca, cert::DeviceId::from_string("vehicle-" + std::to_string(i)), kNow, kDay,
         provision_rng));
-    v.rng = std::make_unique<rng::TestRng>(kSharedCaSeed + 100 + i);
-    v.locked = std::make_unique<rng::LockedRng>(*v.rng);
-    v.broker = std::make_unique<proto::SessionBroker>(*v.creds, *v.locked, config);
+    v.broker =
+        std::make_unique<proto::SessionBroker>(*v.creds, rng::SystemRng::instance(), config);
     v.broker->bind_clock(transport.get());
     transport->attach(v.creds->id);
     auto first = v.broker->connect(server_id, kNow);

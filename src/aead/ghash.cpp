@@ -1,25 +1,17 @@
 #include "aead/ghash.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
+#include "common/kill_switch.hpp"
+
 namespace ecqv::aead {
-
-namespace {
-
-bool env_disables_clmul() {
-  const char* env = std::getenv("ECQV_DISABLE_CLMUL");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
-
-}  // namespace
 
 bool ghash_hw_available() {
 #if defined(ECQV_GHASH_CLMUL)
   static const bool ok =
       __builtin_cpu_supports("pclmul") != 0 && __builtin_cpu_supports("ssse3") != 0;
-  return ok && !env_disables_clmul();
+  return ok && !kill_switch_thrown("ECQV_DISABLE_CLMUL");
 #else
   return false;
 #endif

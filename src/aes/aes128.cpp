@@ -1,28 +1,19 @@
 #include "aes/aes128.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "aes/aesni.hpp"
+#include "common/kill_switch.hpp"
 #include "common/metrics.hpp"
 #include "common/wipe.hpp"
 
 namespace ecqv::aes {
 
-namespace {
-
-bool env_disables_aesni() {
-  const char* env = std::getenv("ECQV_DISABLE_AESNI");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
-
-}  // namespace
-
 bool aes_hw_available() {
 #if defined(ECQV_AES_AESNI)
   static const bool ok =
       __builtin_cpu_supports("aes") != 0 && __builtin_cpu_supports("sse2") != 0;
-  return ok && !env_disables_aesni();
+  return ok && !kill_switch_thrown("ECQV_DISABLE_AESNI");
 #else
   return false;
 #endif

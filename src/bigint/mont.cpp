@@ -1,7 +1,8 @@
 #include "bigint/mont.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
+
+#include "common/kill_switch.hpp"
 
 namespace ecqv::bi {
 
@@ -58,9 +59,7 @@ U256 add_shr1(const U256& x, const U256& m) {
 
 bool mont_asm_available() {
 #if defined(ECQV_P256_ASM)
-  if (const char* env = std::getenv("ECQV_DISABLE_ASM"); env != nullptr && env[0] != '\0' &&
-                                                         !(env[0] == '0' && env[1] == '\0'))
-    return false;
+  if (kill_switch_thrown("ECQV_DISABLE_ASM")) return false;
   return __builtin_cpu_supports("bmi2") != 0 && __builtin_cpu_supports("adx") != 0;
 #else
   return false;

@@ -2,8 +2,9 @@
 // runtime dispatch to the AVX-512 IFMA kernel (mont8_avx512.cpp).
 #include "bigint/mont52.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
+
+#include "common/kill_switch.hpp"
 
 namespace ecqv::bi {
 
@@ -16,11 +17,6 @@ std::uint64_t neg_inv52(std::uint64_t m0) {
   std::uint64_t inv = 1;
   for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;  // m0^-1 mod 2^64
   return (~inv + 1) & kFe52Mask;
-}
-
-bool env_disables_ifma() {
-  const char* env = std::getenv("ECQV_DISABLE_IFMA");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
 }
 
 }  // namespace
@@ -74,7 +70,7 @@ bool mont8_hw_available() {
 #if defined(ECQV_MONT8_IFMA)
   static const bool ok = __builtin_cpu_supports("avx512f") != 0 &&
                          __builtin_cpu_supports("avx512ifma") != 0;
-  return ok && !env_disables_ifma();
+  return ok && !kill_switch_thrown("ECQV_DISABLE_IFMA");
 #else
   return false;
 #endif

@@ -16,7 +16,7 @@ HmacSha256::HmacSha256(ByteView key) {
     ipad_[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
     opad_[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
   }
-  reset();
+  inner_.update(ipad_);  // inner_ was reset by its own constructor
 }
 
 void HmacSha256::reset() {

@@ -1,38 +1,23 @@
 #include "hash/sha256.hpp"
 
+#include <algorithm>
+
+#include "common/kill_switch.hpp"
 #include "common/metrics.hpp"
+#include "hash/shani.hpp"
 
 namespace ecqv::hash {
 
 namespace {
-
-constexpr std::array<std::uint32_t, 64> kK = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-    0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-    0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-    0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-    0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-    0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-    0xc67178f2};
 
 constexpr std::array<std::uint32_t, 8> kInit = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
                                                 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
 inline std::uint32_t rotr(std::uint32_t x, unsigned n) { return (x >> n) | (x << (32 - n)); }
 
-}  // namespace
-
-void Sha256::reset() {
-  state_ = kInit;
-  buffered_ = 0;
-  total_bytes_ = 0;
-}
-
-void Sha256::compress(const std::uint8_t* block) {
-  count_op(Op::kSha256Block);
+/// The portable FIPS 180-4 compression of one block.
+void compress_portable(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) {
+  const auto& kK = detail::kRoundK;
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -45,8 +30,8 @@ void Sha256::compress(const std::uint8_t* block) {
     const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -63,14 +48,44 @@ void Sha256::compress(const std::uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+}  // namespace
+
+bool sha_hw_available() {
+#if defined(ECQV_HASH_SHANI)
+  static const bool ok =
+      __builtin_cpu_supports("sha") != 0 && __builtin_cpu_supports("sse4.1") != 0;
+  return ok && !kill_switch_thrown("ECQV_DISABLE_SHANI");
+#else
+  return false;
+#endif
+}
+
+void Sha256::reset() {
+  state_ = kInit;
+  buffered_ = 0;
+  total_bytes_ = 0;
+  hw_ = sha_hw_available();
+}
+
+void Sha256::compress(const std::uint8_t* blocks, std::size_t nblocks) {
+  count_op(Op::kSha256Block, nblocks);
+#if defined(ECQV_HASH_SHANI)
+  if (hw_) {
+    detail::shani_compress(state_.data(), blocks, nblocks);
+    return;
+  }
+#endif
+  for (; nblocks != 0; --nblocks, blocks += kSha256BlockSize) compress_portable(state_, blocks);
 }
 
 void Sha256::update(ByteView data) {
@@ -83,13 +98,13 @@ void Sha256::update(ByteView data) {
     buffered_ += take;
     off = take;
     if (buffered_ == kSha256BlockSize) {
-      compress(buffer_.data());
+      compress(buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (off + kSha256BlockSize <= data.size()) {
-    compress(data.data() + off);
-    off += kSha256BlockSize;
+  if (const std::size_t full = (data.size() - off) / kSha256BlockSize; full != 0) {
+    compress(data.data() + off, full);
+    off += full * kSha256BlockSize;
   }
   if (off < data.size()) {
     std::copy(data.begin() + static_cast<std::ptrdiff_t>(off), data.end(), buffer_.begin());
@@ -98,14 +113,18 @@ void Sha256::update(ByteView data) {
 }
 
 Digest Sha256::finish() {
+  // 0x80, zeros, then the 64-bit big-endian bit length ending the last
+  // block: one block if the length still fits behind the 0x80, else two.
+  std::size_t len = buffered_;
+  buffer_[len++] = 0x80;
+  const std::size_t nblocks = len <= kSha256BlockSize - 8 ? 1 : 2;
+  const std::size_t end = nblocks * kSha256BlockSize;
+  std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(len),
+            buffer_.begin() + static_cast<std::ptrdiff_t>(end - 8), std::uint8_t{0});
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(ByteView(&zero, 1));
-  std::array<std::uint8_t, 8> len_be{};
-  for (int i = 0; i < 8; ++i) len_be[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(len_be);
+  for (std::size_t i = 0; i < 8; ++i)
+    buffer_[end - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  compress(buffer_.data(), nblocks);
   Digest out{};
   for (std::size_t i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);

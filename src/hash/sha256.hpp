@@ -1,8 +1,13 @@
 // SHA-256 (FIPS 180-4).
 //
 // Streaming interface plus one-shot helper. The compression function bumps
-// Op::kSha256Block so the device cost model prices hashing by the number of
-// 64-byte blocks actually processed.
+// Op::kSha256Block once per 64-byte block actually processed, so the device
+// cost model prices hashing identically on every dispatch tier.
+//
+// Full blocks reach the compression function in one multi-block call, and
+// finish() pads in place and compresses one or two blocks. The SHA-NI
+// kernel (hash/shani.cpp) runs them when sha_hw_available(); otherwise the
+// portable C body does — bit-identical output either way.
 #pragma once
 
 #include <array>
@@ -28,14 +33,26 @@ class Sha256 {
   /// further use.
   [[nodiscard]] Digest finish();
 
+  /// True when this digest runs on the SHA-NI kernel; fixed at reset().
+  [[nodiscard]] bool hardware() const { return hw_; }
+
  private:
-  void compress(const std::uint8_t* block);
+  void compress(const std::uint8_t* blocks, std::size_t nblocks);
 
   std::array<std::uint32_t, 8> state_{};
-  std::array<std::uint8_t, kSha256BlockSize> buffer_{};
+  // update() only ever fills the first block; finish() pads into both.
+  std::array<std::uint8_t, 2 * kSha256BlockSize> buffer_{};
   std::size_t buffered_ = 0;
   std::uint64_t total_bytes_ = 0;
+  bool hw_ = false;
 };
+
+/// True when the SHA-NI kernel is active: the CPU reports SHA (and SSE4.1)
+/// and the ECQV_DISABLE_SHANI environment kill switch is unset/0 (compile
+/// gate ECQV_NO_SHANI, folded into -DECQV_PORTABLE_ONLY). Sha256 reads it
+/// at every reset(), so the switch works mid-process and one digest never
+/// changes tier half way.
+[[nodiscard]] bool sha_hw_available();
 
 /// One-shot convenience.
 Digest sha256(ByteView data);

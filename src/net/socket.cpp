@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -32,6 +33,12 @@ Status set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return Error::kInternal;
   if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) return Error::kInternal;
+  return {};
+}
+
+Status set_no_delay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) < 0) return Error::kInternal;
   return {};
 }
 
@@ -74,6 +81,7 @@ Result<Fd> tcp_connect_loopback(std::uint16_t port) {
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) return Error::kInternal;
   if (const Status s = set_nonblocking(fd.get()); !s.ok()) return s.error();
+  if (const Status s = set_no_delay(fd.get()); !s.ok()) return s.error();
   const sockaddr_in addr = loopback(port);
   int rc;
   do {

@@ -45,15 +45,21 @@ Result<Fd> udp_bind_loopback(std::uint16_t port);
 /// SO_REUSEADDR set.
 Result<Fd> tcp_listen_loopback(std::uint16_t port, int backlog = 128);
 
-/// Non-blocking IPv4 TCP connect to 127.0.0.1:`port`. May return before
-/// the handshake completes (EINPROGRESS) — the fd becomes writable when
-/// established, which the transports' service loop absorbs naturally.
+/// Non-blocking IPv4 TCP connect to 127.0.0.1:`port`, TCP_NODELAY set. May
+/// return before the handshake completes (EINPROGRESS) — the fd becomes
+/// writable when established, which the transports' service loop absorbs
+/// naturally.
 Result<Fd> tcp_connect_loopback(std::uint16_t port);
 
 /// The port the kernel actually bound (resolves port 0 requests).
 Result<std::uint16_t> local_port(int fd);
 
 Status set_nonblocking(int fd);
+
+/// Disables Nagle's algorithm. Every fabric frame is a complete message the
+/// peer is waiting for; with Nagle on, a small frame queued behind an
+/// unacknowledged one waits for the peer's delayed ACK (≈ 40 ms on Linux).
+Status set_no_delay(int fd);
 
 /// Shrinks the socket send buffer (tests use this to force short writes).
 Status set_send_buffer(int fd, int bytes);

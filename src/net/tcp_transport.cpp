@@ -107,7 +107,7 @@ void TcpStreamTransport::accept_pending() {
       fd = ::accept(listen_fd_.get(), nullptr, nullptr);
     } while (fd < 0 && errno == EINTR);
     if (fd < 0) break;  // EAGAIN: no more pending
-    if (!set_nonblocking(fd).ok()) {
+    if (!set_nonblocking(fd).ok() || !set_no_delay(fd).ok()) {
       ::close(fd);
       continue;
     }

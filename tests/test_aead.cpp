@@ -17,34 +17,13 @@
 #include "aes/modes.hpp"
 #include "common/ct_equal.hpp"
 #include "common/hex.hpp"
+#include "env_guard.hpp"
 #include "rng/test_rng.hpp"
 
 namespace ecqv::aead {
 namespace {
 
-/// Scoped environment override that restores the previous value on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_)
-      ::setenv(name_, old_.c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  std::string old_;
-  bool had_old_;
-};
+using ecqv::testing::EnvGuard;
 
 Bytes deterministic_bytes(std::size_t n, std::uint64_t seed) {
   rng::TestRng rng(seed);

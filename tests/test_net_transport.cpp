@@ -5,10 +5,12 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/concurrent_broker.hpp"
 #include "core/credentials.hpp"
@@ -163,6 +165,36 @@ TEST(TcpTransport, RoundTripOverRealConnection) {
     return (got = (*client)->receive(alice)).has_value();
   }));
   EXPECT_EQ(got->message.payload, bytes_of("stream-pong"));
+}
+
+TEST(TcpTransport, BothEndsDisableNagle) {
+  auto server = net::TcpStreamTransport::listen({});
+  ASSERT_TRUE(server.ok());
+  auto client = net::TcpStreamTransport::connect_to({.port = (*server)->port()});
+  ASSERT_TRUE(client.ok());
+  const cert::DeviceId alice = id_of("tcp-nodelay-alice");
+  const cert::DeviceId bob = id_of("tcp-nodelay-bob");
+  (*client)->attach(alice);
+  (*server)->attach(bob);
+  ASSERT_TRUE((*client)->send(alice, bob, text_message("A1", "nodelay")).ok());
+  ASSERT_TRUE(eventually(**server, [&] {
+    (*client)->service();
+    return (*server)->receive(bob).has_value();
+  }));
+
+  const auto no_delay = [](int fd) {
+    int value = 0;
+    socklen_t len = sizeof value;
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+    return value != 0;
+  };
+  const std::vector<int> client_fds = (*client)->poll_fds();
+  ASSERT_EQ(client_fds.size(), 1u);
+  EXPECT_TRUE(no_delay(client_fds[0])) << "connected socket keeps Nagle on";
+  // The server's first fd is its listener; the rest are accepted sockets.
+  const std::vector<int> server_fds = (*server)->poll_fds();
+  ASSERT_EQ(server_fds.size(), 2u);
+  EXPECT_TRUE(no_delay(server_fds[1])) << "accepted socket keeps Nagle on";
 }
 
 TEST(TcpTransport, ShortWritesDrainThroughTheStateMachine) {

@@ -67,7 +67,8 @@ Builds the benchmark targets in Release and refreshes the committed
 snapshots at the repo root:
 
   BENCH_primitives.json    EC/field/hash/AES primitive timings + the
-                           ADX-vs-portable and IFMA-lane kernel rows
+                           ADX-vs-portable, IFMA-lane and SHA-NI-vs-portable
+                           (BM_Sha256Portable, BM_HmacSha256Portable) rows
   BENCH_protocols.json     STS/S-ECDSA/SCIANC/PorAmB handshakes
   BENCH_fleet.json         session fabric (batch extract, cached verify,
                            ratchet ladder, seal/open throughput, batch
