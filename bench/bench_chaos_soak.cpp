@@ -71,7 +71,7 @@ proto::BrokerConfig chaos_config(std::size_t capacity) {
 /// measured one at a time on the shared virtual clock. Returns false on a
 /// stuck handshake.
 bool run_sweep_point(Fleet& fleet, double p_drop) {
-  proto::IdealLinkTransport inner(/*concurrent=*/false);
+  proto::IdealLinkTransport inner;
   proto::FaultyTransport::Config fault_config;
   fault_config.seed = 20230417;
   fault_config.p_drop = p_drop;
@@ -98,12 +98,12 @@ bool run_sweep_point(Fleet& fleet, double p_drop) {
 
     const double start_ms = link.now_ms();
     if (!client.connect(fleet.devices[0].id, kNow).ok()) return false;
-    proto::settle_lossy(endpoints, link, kNow);
+    proto::settle(endpoints, kNow);
     if (!client.broker().session_ready(fleet.devices[0].id, kNow)) {
       // The budget ran dry on pure bad luck; a real node reconnects once.
       ++reconnects;
       if (!client.connect(fleet.devices[0].id, kNow).ok()) return false;
-      proto::settle_lossy(endpoints, link, kNow);
+      proto::settle(endpoints, kNow);
       if (!client.broker().session_ready(fleet.devices[0].id, kNow)) {
         std::fprintf(stderr, "bench_chaos_soak: stuck handshake (peer %zu, loss %.0f%%)\n", i,
                      p_drop * 100.0);
@@ -141,7 +141,7 @@ bool run_sweep_point(Fleet& fleet, double p_drop) {
     if (!client->broker().session_ready(fleet.devices[0].id, kNow)) continue;
     client->send_data(fleet.devices[0].id, payload, kNow);
     std::vector<proto::ConcurrentSessionBroker*> endpoints{&server, client.get()};
-    proto::settle_lossy(endpoints, link, kNow);
+    proto::settle(endpoints, kNow);
   }
   std::uint64_t records = 0, payload_bytes = 0, wire_bytes = 0;
   for (const auto& client : clients) {

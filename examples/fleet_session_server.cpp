@@ -47,13 +47,17 @@
 // fixed seed, so certificates provisioned in the client process verify in
 // the server process — a real cross-process ECQV handshake over the
 // kernel's loopback stack. Their brokers draw ephemeral scalars from the
-// system RNG, so a restarted process never replays an old session's keys.
+// system RNG, so a restarted process never replays an old session's keys,
+// and run on the wall clock: certificates are issued at start-up unix
+// time and every broker call carries the current unix time, so certificate
+// validity and session age advance while the server runs.
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <memory>
 #include <vector>
 
@@ -101,6 +105,9 @@ cert::CertificateAuthority shared_ca() {
   return cert::CertificateAuthority(cert::DeviceId::from_string("fleet-ca"), boot);
 }
 
+/// Current unix time in seconds: the `now` of every socket-mode call.
+std::uint64_t unix_now() { return static_cast<std::uint64_t>(std::time(nullptr)); }
+
 /// --listen mode: a bare socket server. Terminates every handshake, opens
 /// every record, retransmits on its own wall-clock timers, and reports what
 /// the fleet did to it when the clock runs out.
@@ -108,18 +115,18 @@ int run_socket_server(bool tcp, std::uint16_t port, std::size_t workers, int ser
   cert::CertificateAuthority ca = shared_ca();
   rng::TestRng server_rng(kSharedCaSeed + 1);
   const proto::Credentials creds = proto::provision_device(
-      ca, cert::DeviceId::from_string(kBackendId), kNow, kDay, server_rng);
+      ca, cert::DeviceId::from_string(kBackendId), unix_now(), kDay, server_rng);
 
   std::unique_ptr<net::FdTransport> transport;
   if (tcp) {
-    auto opened = net::TcpStreamTransport::listen({.port = port, .concurrent = workers > 0});
+    auto opened = net::TcpStreamTransport::listen({.port = port});
     if (!opened.ok()) {
       std::fprintf(stderr, "cannot listen on tcp %u: %s\n", port, error_name(opened.error()));
       return 1;
     }
     transport = std::move(opened).value();
   } else {
-    auto opened = net::UdpTransport::open({.port = port, .concurrent = workers > 0});
+    auto opened = net::UdpTransport::open({.port = port});
     if (!opened.ok()) {
       std::fprintf(stderr, "cannot bind udp %u: %s\n", port, error_name(opened.error()));
       return 1;
@@ -144,7 +151,7 @@ int run_socket_server(bool tcp, std::uint16_t port, std::size_t workers, int ser
   const double end_ms = net::FdTransport::steady_now_ms() + serve_seconds * 1000.0;
   double next_report_ms = net::FdTransport::steady_now_ms() + 2000.0;
   while (net::FdTransport::steady_now_ms() < end_ms) {
-    if (!driver.step(kNow).ok()) break;
+    if (!driver.step(unix_now()).ok()) break;
     if (net::FdTransport::steady_now_ms() >= next_report_ms) {
       next_report_ms += 2000.0;
       std::printf("  sessions=%zu handshakes=%llu records=%llu retransmits=%llu\n",
@@ -205,28 +212,25 @@ int run_socket_fleet(bool tcp, std::uint16_t port, std::size_t fleet_size) {
 
   struct Vehicle {
     std::unique_ptr<proto::Credentials> creds;
-    std::unique_ptr<proto::SessionBroker> broker;
+    std::unique_ptr<proto::ConcurrentSessionBroker> broker;
     std::size_t sent = 0;
     bool done = false;
   };
-  proto::BrokerConfig config;
-  config.store.capacity = 4;
-  config.store.policy = proto::RekeyPolicy{2, /*max_age_seconds=*/0xffffffff};
-  config.reliability.enabled = true;
+  proto::ConcurrentSessionBroker::Config config;
+  config.broker.store.capacity = 4;
+  config.broker.store.policy = proto::RekeyPolicy{2, /*max_age_seconds=*/0xffffffff};
+  config.broker.reliability.enabled = true;
   rng::TestRng provision_rng(kSharedCaSeed + 3);
+  const std::uint64_t start = unix_now();
   std::vector<Vehicle> fleet(fleet_size);
   for (std::size_t i = 0; i < fleet_size; ++i) {
     Vehicle& v = fleet[i];
     v.creds = std::make_unique<proto::Credentials>(proto::provision_device(
-        ca, cert::DeviceId::from_string("vehicle-" + std::to_string(i)), kNow, kDay,
+        ca, cert::DeviceId::from_string("vehicle-" + std::to_string(i)), start, kDay,
         provision_rng));
-    v.broker =
-        std::make_unique<proto::SessionBroker>(*v.creds, rng::SystemRng::instance(), config);
-    v.broker->bind_clock(transport.get());
-    transport->attach(v.creds->id);
-    auto first = v.broker->connect(server_id, kNow);
-    if (!first.ok()) return 1;
-    (void)transport->send(v.creds->id, server_id, std::move(first).value());
+    v.broker = std::make_unique<proto::ConcurrentSessionBroker>(
+        *v.creds, rng::SystemRng::instance(), *transport, config);
+    if (!v.broker->connect(server_id, unix_now()).ok()) return 1;
   }
 
   constexpr std::size_t kRecords = 4;
@@ -236,20 +240,11 @@ int run_socket_fleet(bool tcp, std::uint16_t port, std::size_t fleet_size) {
     transport->service();
     for (Vehicle& v : fleet) {
       if (v.done) continue;
-      proto::SessionBroker& broker = *v.broker;
-      for (proto::SessionBroker::Outbound& out :
-           broker.poll_retransmits(transport->now_ms(), kNow))
-        (void)transport->send(broker.id(), out.peer, std::move(out.message));
-      while (auto datagram = transport->receive(broker.id())) {
-        auto reply = broker.on_message(datagram->src, datagram->message, kNow);
-        if (reply.ok() && reply->has_value())
-          (void)transport->send(broker.id(), datagram->src, **reply);
-      }
-      if (v.sent < kRecords && broker.session_ready(server_id, kNow)) {
+      const std::uint64_t now = unix_now();
+      v.broker->poll(now);
+      if (v.sent < kRecords && v.broker->broker().session_ready(server_id, now)) {
         while (v.sent < kRecords) {
-          auto record = broker.make_data(server_id, bytes_of("soc=74% t=21C"), kNow);
-          if (!record.ok()) break;
-          (void)transport->send(broker.id(), server_id, std::move(record).value());
+          if (!v.broker->send_data(server_id, bytes_of("soc=74% t=21C"), now).ok()) break;
           ++v.sent;
         }
         v.done = true;
@@ -259,7 +254,7 @@ int run_socket_fleet(bool tcp, std::uint16_t port, std::size_t fleet_size) {
     ::usleep(500);
   }
   std::size_t retransmits = 0;
-  for (const Vehicle& v : fleet) retransmits += v.broker->stats().retransmits.load();
+  for (Vehicle& v : fleet) retransmits += v.broker->broker().stats().retransmits.load();
   std::printf("fleet: %zu/%zu vehicles established + streamed %zu records each "
               "(%zu retransmits, %llu wire datagrams sent)\n",
               done, fleet_size, kRecords, retransmits,
@@ -463,13 +458,11 @@ int main(int argc, char** argv) {
   std::unique_ptr<proto::Transport> link;
   can::CanFdTransport* canfd = nullptr;
   if (use_canfd) {
-    can::CanFdTransport::Config link_config;
-    link_config.concurrent = workers > 0;
-    auto owned = std::make_unique<can::CanFdTransport>(std::move(link_config));
+    auto owned = std::make_unique<can::CanFdTransport>();
     canfd = owned.get();
     link = std::move(owned);
   } else {
-    link = std::make_unique<proto::IdealLinkTransport>(/*concurrent=*/workers > 0);
+    link = std::make_unique<proto::IdealLinkTransport>();
   }
 
   rng::TestRng fabric_rng(4);
@@ -526,14 +519,13 @@ int main(int argc, char** argv) {
   std::printf("\nlossy fabric: %zu vehicles at %.0f%% drop (+5%% duplicate, +5%% reorder)\n",
               kLossyFleet, loss * 100.0);
 
-  proto::IdealLinkTransport lossy_inner(/*concurrent=*/workers > 0);
+  proto::IdealLinkTransport lossy_inner;
   can::TimelineRecorder casualties;
   proto::FaultyTransport::Config loss_model;
   loss_model.seed = 20230417;
   loss_model.p_drop = loss;
   loss_model.p_duplicate = 0.05;
   loss_model.p_reorder = 0.05;
-  loss_model.concurrent = workers > 0;
   loss_model.recorder = &casualties;
   proto::FaultyTransport lossy_link(lossy_inner, std::move(loss_model));
 
@@ -562,7 +554,7 @@ int main(int argc, char** argv) {
     lossy_endpoints.push_back(survivors.back().get());
   }
   for (auto& vehicle : survivors) (void)vehicle->connect(server_creds.id, kNow);
-  proto::settle_lossy(lossy_endpoints, lossy_link, kNow);
+  proto::settle(lossy_endpoints, kNow);
 
   std::size_t lossy_ready = 0, recovery_retransmits = 0;
   for (auto& vehicle : survivors) {
@@ -573,7 +565,7 @@ int main(int argc, char** argv) {
   // are the data plane's casualties; sessions stay healthy regardless.
   for (auto& vehicle : survivors)
     (void)vehicle->send_data(server_creds.id, bytes_of("soc=68% t=19C"), kNow);
-  proto::settle_lossy(lossy_endpoints, lossy_link, kNow);
+  proto::settle(lossy_endpoints, kNow);
 
   const proto::FaultyTransport::Stats wire = lossy_link.stats();
   const proto::SessionBroker::Stats& srv = lossy_server.broker().stats();

@@ -15,8 +15,8 @@
 //
 //   * a lockable type is CAPABILITY("mutex"); RAII guards are
 //     SCOPED_CAPABILITY (clang does not model std::lock_guard over custom
-//     mutexes — always lock through ecqv::MutexLock / ecqv::StdMutexLock,
-//     never std::lock_guard directly; tools/ct_lint.py enforces this);
+//     mutexes — always lock through ecqv::MutexLock, never
+//     std::lock_guard directly; tools/ct_lint.py enforces this);
 //   * data a lock protects is GUARDED_BY(that_mutex);
 //   * a function with a "lock must be held" contract is REQUIRES(mutex) —
 //     REQUIRES may name a parameter's member (REQUIRES(shard.mutex)), which

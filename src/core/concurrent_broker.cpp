@@ -1,19 +1,12 @@
 #include "core/concurrent_broker.hpp"
 
-#include "core/faulty_transport.hpp"
-
 namespace ecqv::proto {
-
-BrokerConfig ConcurrentSessionBroker::arm(BrokerConfig config, std::size_t workers) {
-  if (workers > 0) config.concurrent = true;
-  return config;
-}
 
 ConcurrentSessionBroker::ConcurrentSessionBroker(const Credentials& creds, rng::Rng& rng,
                                                  Transport& transport, Config config)
     : transport_(transport),
       rng_(rng),
-      broker_(creds, rng_, arm(std::move(config.broker), config.workers)) {
+      broker_(creds, rng_, std::move(config.broker)) {
   transport_.attach(broker_.id());
   // The reliability engine (and the S1 virtual-time TTL) runs on the bound
   // transport's clock.
@@ -30,7 +23,7 @@ ConcurrentSessionBroker::~ConcurrentSessionBroker() {
   stop_.store(true);
   for (auto& worker : workers_) {
     {
-      StdMutexLock lock(worker->mutex);  // fence: wait re-checks stop_ under the lock
+      MutexLock lock(worker->mutex);  // fence: wait re-checks stop_ under the lock
     }
     worker->cv.notify_all();
   }
@@ -127,7 +120,7 @@ std::vector<bool> ConcurrentSessionBroker::verify_batch(
     Worker& worker = *workers_[c % w];
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     {
-      StdMutexLock lock(worker.mutex);
+      MutexLock lock(worker.mutex);
       worker.queue.push_back(std::move(job));
     }
     worker.cv.notify_one();
@@ -170,7 +163,7 @@ std::size_t ConcurrentSessionBroker::poll(std::uint64_t now) {
     Worker& worker = *workers_[DeviceIdHash{}(job.from) % workers_.size()];
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     {
-      StdMutexLock lock(worker.mutex);
+      MutexLock lock(worker.mutex);
       worker.queue.push_back(std::move(job));
     }
     worker.cv.notify_one();
@@ -184,43 +177,26 @@ void ConcurrentSessionBroker::drain() {
   drain_cv_.wait(lock, [&] { return in_flight_.load(std::memory_order_acquire) == 0; });
 }
 
-std::size_t ConcurrentSessionBroker::run_until_idle(std::uint64_t now) {
-  std::size_t processed = 0;
-  for (;;) {
-    const std::size_t dispatched = poll(now);
-    processed += dispatched;
-    drain();
-    if (dispatched == 0) {
-      if (transport_.idle()) return processed;
-      // Counterpart endpoints (driven on other threads) still owe traffic.
-      std::this_thread::yield();
-    }
-  }
-}
-
 std::size_t settle(const std::vector<ConcurrentSessionBroker*>& endpoints, std::uint64_t now) {
+  // A stuck-fabric backstop on clock advances, not a tuning knob.
+  constexpr std::size_t kMaxAdvances = 1000000;
   std::size_t processed = 0;
-  std::size_t round = 0;
-  do {
-    round = 0;
-    for (ConcurrentSessionBroker* endpoint : endpoints) round += endpoint->poll(now);
-    for (ConcurrentSessionBroker* endpoint : endpoints) endpoint->drain();
-    processed += round;
-    // A zero round means every inbox was empty *after* all workers had
-    // drained, so no endpoint can produce further traffic: fixpoint.
-  } while (round > 0);
-  return processed;
-}
-
-std::size_t settle_lossy(const std::vector<ConcurrentSessionBroker*>& endpoints,
-                         FaultyTransport& link, std::uint64_t now, std::size_t max_rounds) {
-  std::size_t processed = 0;
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    processed += settle(endpoints, now);
+  if (endpoints.empty()) return processed;
+  Transport& link = endpoints.front()->transport();
+  for (std::size_t advance = 0; advance < kMaxAdvances; ++advance) {
+    std::size_t round = 0;
+    do {
+      round = 0;
+      for (ConcurrentSessionBroker* endpoint : endpoints) round += endpoint->poll(now);
+      for (ConcurrentSessionBroker* endpoint : endpoints) endpoint->drain();
+      processed += round;
+      // A zero round means every inbox was empty *after* all workers had
+      // drained, so no endpoint can produce further traffic: fixpoint.
+    } while (round > 0);
     // The link is drained. Whatever is still owed can only move by time:
     // find the earliest armed deadline across every endpoint's timer wheel
-    // and the link's delayed-datagram holds, jump the virtual clock there,
-    // and settle again (poll services the due retransmissions first).
+    // and the link's delayed-datagram holds, jump the clock there, and
+    // settle again (poll services the due retransmissions first).
     std::size_t backlog = 0;
     std::optional<double> due = link.next_release_ms();
     const bool delayed_traffic = due.has_value();
@@ -230,8 +206,9 @@ std::size_t settle_lossy(const std::vector<ConcurrentSessionBroker*>& endpoints,
       if (next.has_value() && (!due.has_value() || *next < *due)) due = next;
     }
     if (backlog == 0 && !delayed_traffic) return processed;  // converged
-    if (!due.has_value()) return processed;  // uncovered backlog: nothing to wait for
-    link.advance_to(*due);
+    // Uncovered backlog (nothing to wait for), or a link whose clock does
+    // not move on request.
+    if (!due.has_value() || !link.advance_to(*due)) return processed;
   }
   return processed;
 }

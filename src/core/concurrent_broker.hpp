@@ -15,9 +15,11 @@
 //     truly in parallel.
 //
 // Replies produced by a worker go straight back out through the bound
-// transport (which is thread-safe in concurrent configurations). With
-// workers = 0 the pool degrades to inline dispatch on the polling thread —
-// the single-threaded embedded profile, same API, no threads, no locks.
+// transport (every transport locks internally). With workers = 0 the pool
+// degrades to inline dispatch on the polling thread — the single-threaded
+// embedded profile, same API, no threads. That is also how a client
+// drives its own broker: poll(now) is the one service round (due
+// retransmissions out, inbox drained through on_message, replies sent).
 //
 // The time model stays explicit (logical `now` seconds) like everywhere
 // else in the library: poll(now) stamps the datagrams it dispatches.
@@ -39,8 +41,7 @@ class ConcurrentSessionBroker {
   struct Config {
     BrokerConfig broker{};
     /// Worker threads terminating handshakes. 0 = inline dispatch (no
-    /// threads spawned); N >= 1 spawns N workers and arms the broker's
-    /// internal locking.
+    /// threads spawned); N >= 1 spawns N workers.
     std::size_t workers = 0;
   };
 
@@ -59,7 +60,8 @@ class ConcurrentSessionBroker {
   };
 
   /// The broker sends and receives through `transport`; the endpoint is
-  /// attached on construction.
+  /// attached and the broker's clock bound to the transport on
+  /// construction. `rng` is wrapped in a LockedRng for the workers.
   ConcurrentSessionBroker(const Credentials& creds, rng::Rng& rng, Transport& transport,
                           Config config);
   ~ConcurrentSessionBroker();
@@ -82,8 +84,7 @@ class ConcurrentSessionBroker {
   Status send_data(const cert::DeviceId& peer, ByteView plaintext, std::uint64_t now,
                    DataRekey rekey = DataRekey::kAuto);
 
-  /// Fleet enrollment, delegated to the broker (the peer cache is already
-  /// armed for concurrent use when workers > 0). Returns the number cached.
+  /// Fleet enrollment, delegated to the broker. Returns the number cached.
   std::size_t enroll_batch(const std::vector<cert::Certificate>& certificates);
 
   /// Batch signature verification fanned out across the worker pool: the
@@ -106,13 +107,8 @@ class ConcurrentSessionBroker {
   /// replies are on the transport.
   void drain();
 
-  /// poll() + drain() until the transport reports idle and no further
-  /// datagrams arrive — the fleet-settling loop used by benches, tests and
-  /// examples. Returns the total number of datagrams this endpoint
-  /// processed.
-  std::size_t run_until_idle(std::uint64_t now);
-
   [[nodiscard]] SessionBroker& broker() { return broker_; }
+  [[nodiscard]] Transport& transport() { return transport_; }
   [[nodiscard]] const cert::DeviceId& id() const { return broker_.id(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t workers() const { return workers_.size(); }
@@ -133,13 +129,12 @@ class ConcurrentSessionBroker {
     std::thread thread;
   };
 
-  static BrokerConfig arm(BrokerConfig config, std::size_t workers);
   // NO_THREAD_SAFETY_ANALYSIS (1 of the repo's budget of 3, counted by
   // tools/ct_lint.py): the wait loop must pass the capability's native
   // std::mutex to condition_variable::wait through a std::unique_lock,
   // which the analysis cannot model — the queue pops here are guarded by
   // that same unique_lock. Every producer side (poll, verify_batch, the
-  // destructor's fence) locks through the annotated StdMutexLock and IS
+  // destructor's fence) locks through the annotated MutexLock and IS
   // analyzed.
   void worker_loop(Worker& worker) NO_THREAD_SAFETY_ANALYSIS;
   void process(const Job& job);
@@ -156,21 +151,14 @@ class ConcurrentSessionBroker {
 };
 
 /// Settles a set of fabric endpoints sharing one transport: polls each in
-/// round-robin until every endpoint is drained and the transport is idle.
-/// Returns the total number of datagrams processed.
+/// round-robin until a round dispatches nothing (a fixpoint). If
+/// reliability backlog or held-back datagrams remain and the link's clock
+/// can move (Transport::advance_to — a FaultyTransport's virtual clock),
+/// it jumps the clock to the earliest retransmission deadline or delayed
+/// release and settles again, until every backlog clears or nothing armed
+/// could make further progress (uncovered exchanges are the TTL sweep's
+/// job). On ideal, CAN-FD and socket links it returns after the first
+/// fixpoint. Returns the total number of datagrams processed.
 std::size_t settle(const std::vector<ConcurrentSessionBroker*>& endpoints, std::uint64_t now);
-
-class FaultyTransport;  // core/faulty_transport.hpp
-
-/// Settles fabric endpoints over a lossy link: alternates settle() rounds
-/// with virtual-clock advances to the earliest retransmission deadline (or
-/// delayed-datagram release), driving the reliability engine until every
-/// endpoint's backlog clears — or until nothing is armed that could make
-/// further progress (uncovered exchanges are the TTL sweep's job), or
-/// `max_rounds` advances elapse (a stuck-fabric backstop, not a tuning
-/// knob). Returns the total number of datagrams processed.
-std::size_t settle_lossy(const std::vector<ConcurrentSessionBroker*>& endpoints,
-                         FaultyTransport& link, std::uint64_t now,
-                         std::size_t max_rounds = 1000000);
 
 }  // namespace ecqv::proto

@@ -36,9 +36,7 @@ const char* fault_name(FaultyTransport::Fault f) {
 }  // namespace
 
 FaultyTransport::FaultyTransport(Transport& inner, Config config)
-    : inner_(inner), config_(std::move(config)), rng_state_(config_.seed) {
-  mutex_.enable(config_.concurrent);
-}
+    : inner_(inner), config_(std::move(config)), rng_state_(config_.seed) {}
 
 void FaultyTransport::attach(const cert::DeviceId& endpoint) { inner_.attach(endpoint); }
 
@@ -210,12 +208,13 @@ void FaultyTransport::set_fault_probabilities(double drop, double duplicate, dou
   config_.p_corrupt = corrupt;
 }
 
-void FaultyTransport::advance_to(double t_ms) {
+bool FaultyTransport::advance_to(double t_ms) {
   {
     MutexLock lock(mutex_);
     clock_floor_ = std::max(clock_floor_, t_ms);
   }
   release_ready();
+  return true;
 }
 
 std::optional<double> FaultyTransport::next_release_ms() {

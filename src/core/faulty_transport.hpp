@@ -24,11 +24,11 @@
 //
 // The decorator keeps its own virtual clock floor so delay faults work
 // over the ideal link (whose clock is pinned at 0): now_ms() is
-// max(inner clock, local floor), advanced by advance_ms()/advance_to() —
+// max(inner clock, local floor), advanced by advance_to() —
 // the same clock the broker's retransmission timers run on.
 //
-// Thread safety: all mutable state serializes on one OptionalMutex, armed
-// in concurrent fabrics; the inner transport handles its own locking.
+// Thread safety: all mutable state serializes on one Mutex; the inner
+// transport handles its own locking.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +79,6 @@ class FaultyTransport final : public Transport {
     /// as `held_overflow` — bounded memory under any fault storm.
     std::size_t max_held = 64;
 
-    /// Arms the internal mutex for worker-pool fabrics.
-    bool concurrent = false;
-
     /// Optional timeline sink: drops emit kDrop events, every other fault
     /// emits kFault with the fault name as label.
     can::TimelineRecorder* recorder = nullptr;
@@ -121,16 +118,16 @@ class FaultyTransport final : public Transport {
   void set_fault_probabilities(double drop, double duplicate, double reorder, double delay,
                                double corrupt);
 
-  /// Advances the local clock floor (releasing due delayed datagrams on
-  /// the next receive()/idle()). Monotonic: moving backwards is a no-op.
-  void advance_to(double t_ms);
-  void advance_ms(double delta_ms) { advance_to(now_ms() + delta_ms); }
+  /// Advances the local clock floor and releases the delayed datagrams
+  /// now due. Monotonic: moving backwards leaves the floor alone. Always
+  /// true: this clock moves on request.
+  bool advance_to(double t_ms) override;
 
   /// Earliest instant a held datagram becomes releasable (delay faults
   /// only — reorder holds release on traffic, not time). nullopt when no
   /// delayed datagram is pending. Drivers advance the clock here when the
   /// link stalls.
-  [[nodiscard]] std::optional<double> next_release_ms();
+  [[nodiscard]] std::optional<double> next_release_ms() override;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] Transport& inner() { return inner_; }
@@ -159,7 +156,7 @@ class FaultyTransport final : public Transport {
 
   Transport& inner_;
   Config config_;
-  OptionalMutex mutex_;
+  Mutex mutex_;
   std::uint64_t rng_state_ GUARDED_BY(mutex_);
   std::uint64_t serial_ GUARDED_BY(mutex_) = 0;
   double clock_floor_ GUARDED_BY(mutex_) = 0.0;

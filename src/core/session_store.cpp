@@ -21,7 +21,6 @@ SessionStore::SessionStore(Role default_role, Config config)
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->mutex.enable(config_.concurrent);
   }
   shard_mask_ = shard_count - 1;
 }

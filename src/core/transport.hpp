@@ -6,8 +6,8 @@
 // loop. This interface makes the link an explicit, swappable component:
 //
 //   * IdealLinkTransport — the zero-latency in-memory link (what the old
-//     pump loops modeled implicitly), with optional thread safety so a
-//     worker pool can send replies while the main loop polls.
+//     pump loops modeled implicitly), thread-safe so a worker pool can
+//     send replies while the main loop polls.
 //   * can::CanFdTransport (src/canfd/canfd_transport.hpp) — the same
 //     datagrams framed through session-layer PDUs + ISO-TP fragmentation
 //     onto the simulated CAN-FD bus, so fleet runs measure real
@@ -80,18 +80,27 @@ class Transport {
   /// An endpoint's local clock: the later of its accumulated compute and
   /// the link clock at its last delivery.
   [[nodiscard]] virtual double endpoint_time_ms(const cert::DeviceId& endpoint);
+
+  /// Earliest instant a datagram the link holds back becomes deliverable;
+  /// nullopt when none is held (the default: links that never delay).
+  [[nodiscard]] virtual std::optional<double> next_release_ms() { return std::nullopt; }
+
+  /// Moves the link clock forward to `t_ms` so that whatever is due by
+  /// then (held datagrams, retransmission timers) can fire. Returns false
+  /// when the link has no clock a driver can move — the default: the ideal
+  /// link stays at 0, and the CAN-FD bus and the sockets keep their own
+  /// time.
+  virtual bool advance_to(double t_ms) { return (void)t_ms, false; }
 };
 
 /// The ideal in-memory link: instant delivery, per-destination FIFO
-/// inboxes. `concurrent` arms the internal mutex for worker-pool use.
+/// inboxes, safe to share with a worker pool.
 class IdealLinkTransport final : public Transport {
  public:
   struct Stats {
     StatCounter messages = 0;
     StatCounter payload_bytes = 0;
   };
-
-  explicit IdealLinkTransport(bool concurrent = false) { mutex_.enable(concurrent); }
 
   void attach(const cert::DeviceId& endpoint) override;
   Status send(const cert::DeviceId& src, const cert::DeviceId& dst,
@@ -102,7 +111,7 @@ class IdealLinkTransport final : public Transport {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  OptionalMutex mutex_;
+  Mutex mutex_;
   std::unordered_map<cert::DeviceId, std::deque<Datagram>, DeviceIdHash> inboxes_
       GUARDED_BY(mutex_);
   Stats stats_;

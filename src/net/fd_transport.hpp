@@ -5,9 +5,16 @@
 // Unlike the simulated links, a socket transport cannot conjure progress
 // inside receive() alone — the kernel hands it bytes only when they have
 // arrived. The epoll event loop (net/event_loop.hpp) owns blocking: it
-// watches poll_fds(), calls service() on readiness, and the Transport
-// receive()/idle() methods then operate on what service() decoded. Polling
-// callers (tests, simple tools) may just call service() in a loop.
+// watches poll_fds() and calls service() on readiness. The Transport
+// receive()/idle() methods call service() themselves before they look at
+// the inboxes, so any receive() also reads whatever the kernel holds. That
+// read stays: several endpoints share one socket, and a datagram one
+// endpoint's receive() pulls into another's inbox must not leave the
+// socket unread behind it — a driver that skips service() while any inbox
+// is non-empty (the client generators of perfbench do) would otherwise
+// stop reading the socket for good once one datagram is stranded in an
+// inbox nobody drains. Polling callers (tests, simple tools) may just call
+// service() in a loop.
 //
 // The clock is real: now_ms() is the steady monotonic wall clock, shared
 // by every FdTransport in the process. Brokers bound to a socket transport

@@ -31,8 +31,7 @@ namespace ecqv::net {
 class UdpTransport final : public FdTransport {
  public:
   struct Config {
-    std::uint16_t port = 0;   // 0 = kernel-assigned ephemeral port
-    bool concurrent = false;  // arm the mutex for worker-pool brokers
+    std::uint16_t port = 0;  // 0 = kernel-assigned ephemeral port
     /// Kernel buffer request for both directions (clamped to
     /// rmem_max/wmem_max). The default 208 KiB rcvbuf holds only ~80
     /// handshake replies — one fat wave landing while the servicing
@@ -70,11 +69,11 @@ class UdpTransport final : public FdTransport {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  UdpTransport(Fd fd, std::uint16_t port, const Config& config);
+  UdpTransport(Fd fd, std::uint16_t port);
 
   Fd fd_;
   std::uint16_t port_ = 0;
-  OptionalMutex mutex_;
+  Mutex mutex_;
   std::unordered_map<cert::DeviceId, std::deque<proto::Datagram>, proto::DeviceIdHash> inboxes_
       GUARDED_BY(mutex_);
   std::unordered_map<cert::DeviceId, sockaddr_in, proto::DeviceIdHash> routes_

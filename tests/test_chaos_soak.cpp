@@ -67,13 +67,12 @@ TEST(ChaosSoak, ThousandPeersThroughTwentyPercentLoss) {
   constexpr std::size_t kPeers = ECQV_TSAN ? 160 : 1000;
   Fleet fleet(kPeers + 1);
 
-  IdealLinkTransport inner(/*concurrent=*/true);
+  IdealLinkTransport inner;
   FaultyTransport::Config fault_config;
   fault_config.seed = 20230417;
   fault_config.p_drop = 0.20;
   fault_config.p_duplicate = 0.05;
   fault_config.p_reorder = 0.05;
-  fault_config.concurrent = true;
   FaultyTransport link(inner, std::move(fault_config));
 
   rng::TestRng server_rng(400);
@@ -98,7 +97,7 @@ TEST(ChaosSoak, ThousandPeersThroughTwentyPercentLoss) {
     const std::size_t end = std::min(base + kWave, kPeers);
     for (std::size_t i = base; i < end; ++i)
       ASSERT_TRUE(clients[i]->connect(fleet.devices[0].id, kNow).ok()) << i;
-    settle_lossy(endpoints, link, kNow);
+    settle(endpoints, kNow);
   }
 
   // Even a generous budget can run dry on pure bad luck; a real node
@@ -114,7 +113,7 @@ TEST(ChaosSoak, ThousandPeersThroughTwentyPercentLoss) {
       ++reconnects;
       ASSERT_TRUE(clients[i]->connect(fleet.devices[0].id, kNow).ok()) << i;
     }
-    settle_lossy(endpoints, link, kNow);
+    settle(endpoints, kNow);
   }
 
   // 100% eventual establishment — the headline robustness claim.
@@ -165,7 +164,7 @@ TEST(ChaosSoak, ThousandPeersThroughTwentyPercentLoss) {
   link.set_fault_probabilities(0, 0, 0, 0, 0);
   for (std::size_t i = 0; i < kPeers; ++i)
     ASSERT_TRUE(clients[i]->send_data(fleet.devices[0].id, bytes_of("chaos"), kNow).ok()) << i;
-  settle_lossy(endpoints, link, kNow);
+  settle(endpoints, kNow);
   EXPECT_EQ(records.load(), kPeers);
   EXPECT_EQ(server.broker().stats().records_delivered, kPeers);
 }
@@ -179,12 +178,9 @@ TEST(ChaosSoak, FleetOverCanFdWithFrameLevelLoss) {
   Fleet fleet(kPeers + 1);
 
   can::CanFdTransport::Config can_config;
-  can_config.concurrent = true;
   can_config.drop_frame = FaultyTransport::frame_drop_plan(/*seed=*/7, /*p=*/0.02);
   can::CanFdTransport bus(std::move(can_config));
-  FaultyTransport::Config wrapper;  // no datagram faults — loss is frame-level
-  wrapper.concurrent = true;
-  FaultyTransport link(bus, std::move(wrapper));
+  FaultyTransport link(bus, {});  // no datagram faults — loss is frame-level
 
   rng::TestRng server_rng(500);
   ConcurrentSessionBroker::Config server_config{chaos_config(kPeers), /*workers=*/2};
@@ -203,7 +199,7 @@ TEST(ChaosSoak, FleetOverCanFdWithFrameLevelLoss) {
 
   for (std::size_t i = 0; i < kPeers; ++i)
     ASSERT_TRUE(clients[i]->connect(fleet.devices[0].id, kNow).ok()) << i;
-  settle_lossy(endpoints, link, kNow);
+  settle(endpoints, kNow);
 
   for (std::size_t i = 0; i < kPeers; ++i) {
     EXPECT_TRUE(clients[i]->broker().session_ready(fleet.devices[0].id, kNow)) << i;

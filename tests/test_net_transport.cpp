@@ -17,7 +17,6 @@
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
-#include "rng/locked_rng.hpp"
 #include "rng/test_rng.hpp"
 
 namespace ecqv {
@@ -321,24 +320,16 @@ void run_broker_exchange(net::FdTransport& server_transport,
                                         server_config);
   net::BrokerDriver driver(server, server_transport);
 
-  proto::BrokerConfig client_config;
-  client_config.store.policy = proto::RekeyPolicy::unlimited();
-  client_config.reliability.enabled = true;
+  proto::ConcurrentSessionBroker::Config client_config;
+  client_config.broker.store.policy = proto::RekeyPolicy::unlimited();
+  client_config.broker.reliability.enabled = true;
   std::vector<std::unique_ptr<rng::TestRng>> rngs;
-  std::vector<std::unique_ptr<rng::LockedRng>> locked;
-  std::vector<std::unique_ptr<proto::SessionBroker>> fleet;
+  std::vector<std::unique_ptr<proto::ConcurrentSessionBroker>> fleet;
   for (std::size_t i = 1; i <= clients; ++i) {
     rngs.push_back(std::make_unique<rng::TestRng>(200 + i));
-    locked.push_back(std::make_unique<rng::LockedRng>(*rngs.back()));
-    fleet.push_back(std::make_unique<proto::SessionBroker>(world.devices[i], *locked.back(),
-                                                           client_config));
-    fleet.back()->bind_clock(&client_transport);
-    client_transport.attach(fleet.back()->id());
-    auto first = fleet.back()->connect(world.devices[0].id, kNow);
-    ASSERT_TRUE(first.ok());
-    ASSERT_TRUE(
-        client_transport.send(fleet.back()->id(), world.devices[0].id, std::move(*first))
-            .ok());
+    fleet.push_back(std::make_unique<proto::ConcurrentSessionBroker>(
+        world.devices[i], *rngs.back(), client_transport, client_config));
+    ASSERT_TRUE(fleet.back()->connect(world.devices[0].id, kNow).ok());
   }
 
   std::vector<bool> sent(fleet.size(), false);
@@ -349,21 +340,10 @@ void run_broker_exchange(net::FdTransport& server_transport,
     ASSERT_TRUE(driver.step(kNow).ok());
     client_transport.service();
     for (std::size_t i = 0; i < fleet.size(); ++i) {
-      proto::SessionBroker& client = *fleet[i];
-      for (proto::SessionBroker::Outbound& out :
-           client.poll_retransmits(client_transport.now_ms(), kNow))
-        (void)client_transport.send(client.id(), out.peer, std::move(out.message));
-      while (auto datagram = client_transport.receive(client.id())) {
-        auto reply = client.on_message(datagram->src, datagram->message, kNow);
-        if (reply.ok() && reply->has_value())
-          (void)client_transport.send(client.id(), datagram->src, **reply);
-      }
-      if (!sent[i] && client.session_ready(world.devices[0].id, kNow)) {
-        auto record = client.make_data(world.devices[0].id, bytes_of("net-telemetry"), kNow);
-        ASSERT_TRUE(record.ok());
-        ASSERT_TRUE(
-            client_transport.send(client.id(), world.devices[0].id, std::move(*record))
-                .ok());
+      proto::ConcurrentSessionBroker& client = *fleet[i];
+      client.poll(kNow);
+      if (!sent[i] && client.broker().session_ready(world.devices[0].id, kNow)) {
+        ASSERT_TRUE(client.send_data(world.devices[0].id, bytes_of("net-telemetry"), kNow).ok());
         sent[i] = true;
         ++records_sent;
       }
@@ -393,6 +373,61 @@ TEST(NetBroker, HandshakesAndRecordsOverTcpSockets) {
   run_broker_exchange(**server, **client, world, 3);
 }
 
+TEST(NetBroker, SocketServerExpiresSessionsByRealAge) {
+  // The `now` handed to BrokerDriver::step is the server's clock for
+  // session age: with a 60 s max age, a record opens 30 s after the
+  // handshake and is refused 61 s after it.
+  NetWorld world(1);
+  auto server = net::UdpTransport::open({});
+  auto client = net::UdpTransport::open({});
+  ASSERT_TRUE(server.ok() && client.ok());
+  (*client)->add_route(world.devices[0].id, (*server)->port());
+
+  proto::ConcurrentSessionBroker::Config server_config;
+  server_config.broker.store.policy = proto::RekeyPolicy{UINT64_MAX, /*max_age_seconds=*/60};
+  std::vector<Bytes> delivered;
+  server_config.broker.on_data = [&](const cert::DeviceId&, Bytes plaintext) {
+    delivered.push_back(std::move(plaintext));
+  };
+  rng::TestRng server_rng(400);
+  proto::ConcurrentSessionBroker backend(world.devices[0], server_rng, **server, server_config);
+  net::BrokerDriver driver(backend, **server);
+
+  proto::ConcurrentSessionBroker::Config client_config;
+  client_config.broker.store.policy = proto::RekeyPolicy::unlimited();
+  rng::TestRng client_rng(401);
+  proto::ConcurrentSessionBroker ecu(world.devices[1], client_rng, **client, client_config);
+
+  // Steps the server and polls the client at `now` until `done()` holds.
+  const auto drive = [&](std::uint64_t now, const auto& done) {
+    const double deadline = net::FdTransport::steady_now_ms() + 5000.0;
+    while (!done()) {
+      if (net::FdTransport::steady_now_ms() > deadline || !driver.step(now).ok()) return false;
+      ecu.poll(now);
+    }
+    return true;
+  };
+  const auto dispatched = [&](std::uint64_t n) {
+    return [&backend, n] { return backend.stats().dispatched.load() == n; };
+  };
+
+  const std::uint64_t t0 = kNow;
+  ASSERT_TRUE(ecu.connect(world.devices[0].id, t0).ok());
+  ASSERT_TRUE(drive(t0, [&] { return ecu.broker().session_ready(world.devices[0].id, t0); }));
+
+  ASSERT_TRUE(ecu.send_data(world.devices[0].id, bytes_of("at 30 s"), t0 + 30).ok());
+  ASSERT_TRUE(drive(t0 + 30, dispatched(3)));  // A1, A2, the record
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0], bytes_of("at 30 s"));
+
+  ASSERT_TRUE(ecu.send_data(world.devices[0].id, bytes_of("at 61 s"), t0 + 61).ok());
+  ASSERT_TRUE(drive(t0 + 61, dispatched(4)));
+  EXPECT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(backend.stats().errors.load(), 1u);
+  EXPECT_EQ(backend.broker().store().stats().dead_evictions.load(), 1u);
+  EXPECT_EQ(backend.broker().store().active_sessions(), 0u);
+}
+
 TEST(NetBroker, RetransmissionTimerRecoversRealLoss) {
   // The A1 goes into a black hole (a bound socket nobody services, then
   // closed → refused). The client's reliability engine, running on the
@@ -414,20 +449,14 @@ TEST(NetBroker, RetransmissionTimerRecoversRealLoss) {
                                          server_config);
   net::BrokerDriver driver(backend, **server);
 
-  proto::BrokerConfig client_config;
-  client_config.store.policy = proto::RekeyPolicy::unlimited();
-  client_config.reliability.enabled = true;
-  client_config.reliability.rto_ms = 20.0;
+  proto::ConcurrentSessionBroker::Config client_config;
+  client_config.broker.store.policy = proto::RekeyPolicy::unlimited();
+  client_config.broker.reliability.enabled = true;
+  client_config.broker.reliability.rto_ms = 20.0;
   rng::TestRng client_rng(301);
-  rng::LockedRng client_locked(client_rng);
-  proto::SessionBroker ecu(world.devices[1], client_locked, client_config);
-  ecu.bind_clock(client.value().get());
-  (*client)->attach(ecu.id());
+  proto::ConcurrentSessionBroker ecu(world.devices[1], client_rng, **client, client_config);
   (*client)->add_route(world.devices[0].id, hole_port.value());  // wrong on purpose
-
-  auto first = ecu.connect(world.devices[0].id, kNow);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE((*client)->send(ecu.id(), world.devices[0].id, std::move(*first)).ok());
+  ASSERT_TRUE(ecu.connect(world.devices[0].id, kNow).ok());
 
   // Wait out the RTO on the wall clock; the timer must hand the A1 back.
   std::vector<proto::SessionBroker::Outbound> resend;
@@ -435,26 +464,19 @@ TEST(NetBroker, RetransmissionTimerRecoversRealLoss) {
   while (resend.empty()) {
     ASSERT_LT(net::FdTransport::steady_now_ms(), deadline) << "retransmit never fired";
     ::usleep(5000);
-    resend = ecu.poll_retransmits((*client)->now_ms(), kNow);
+    resend = ecu.broker().poll_retransmits((*client)->now_ms(), kNow);
   }
-  EXPECT_GE(ecu.stats().retransmits.load(), 1u);
+  EXPECT_GE(ecu.broker().stats().retransmits.load(), 1u);
 
   // Heal the route and let the retransmitted A1 through for real.
   (*client)->add_route(world.devices[0].id, (*server)->port());
   for (auto& out : resend)
     ASSERT_TRUE((*client)->send(ecu.id(), out.peer, std::move(out.message)).ok());
   const double finish = net::FdTransport::steady_now_ms() + 5000.0;
-  while (!ecu.session_ready(world.devices[0].id, kNow)) {
+  while (!ecu.broker().session_ready(world.devices[0].id, kNow)) {
     ASSERT_LT(net::FdTransport::steady_now_ms(), finish) << "handshake never completed";
     ASSERT_TRUE(driver.step(kNow).ok());
-    (*client)->service();
-    for (auto& out : ecu.poll_retransmits((*client)->now_ms(), kNow))
-      (void)(*client)->send(ecu.id(), out.peer, std::move(out.message));
-    while (auto datagram = (*client)->receive(ecu.id())) {
-      auto reply = ecu.on_message(datagram->src, datagram->message, kNow);
-      if (reply.ok() && reply->has_value())
-        (void)(*client)->send(ecu.id(), datagram->src, **reply);
-    }
+    ecu.poll(kNow);
   }
   EXPECT_EQ(backend.broker().stats().handshakes_completed.load(), 1u);
 }

@@ -4,7 +4,7 @@
 // escalation), dead-peer detection, and the S1 virtual-time pending
 // sweep. Every scenario runs the real fabric: ConcurrentSessionBroker
 // endpoints over a FaultyTransport with a scripted or seeded fault plan,
-// driven by settle_lossy.
+// driven by settle.
 #include <gtest/gtest.h>
 
 #include "core/concurrent_broker.hpp"
@@ -25,7 +25,7 @@ BrokerConfig reliable_config() {
 }
 
 /// Two inline endpoints over one faulty link, clocks bound, ready to
-/// converge through settle_lossy.
+/// converge through settle.
 struct LossyPair {
   testing::World world;
   rng::TestRng rng_a{21}, rng_b{22};
@@ -38,7 +38,7 @@ struct LossyPair {
         alice(world.alice, rng_a, link, {config, /*workers=*/0}),
         bob(world.bob, rng_b, link, {config, /*workers=*/0}) {}
 
-  std::size_t converge() { return settle_lossy({&alice, &bob}, link, kNow); }
+  std::size_t converge() { return settle({&alice, &bob}, kNow); }
 };
 
 TEST(Reliability, LostFirstFlightRecoversByRetransmission) {
@@ -257,6 +257,73 @@ TEST(Reliability, DataPlaneStillFlowsAfterLossyEstablishment) {
   pair.converge();
   EXPECT_EQ(received, bytes_of("after the storm"));
   EXPECT_EQ(pair.bob.broker().stats().records_delivered, 1u);
+}
+
+TEST(Reliability, SettleOverTwentyPercentLossReplaysTheFrozenRun) {
+  // Four handshakes and eight RK1 ratchets through 20% seeded loss. The
+  // figures are frozen: settle() alternates fixpoints with virtual-clock
+  // advances, and any change to when it advances shows up here.
+  FaultyTransport::Config faults;
+  faults.seed = 20;
+  faults.p_drop = 0.2;
+  LossyPair pair(std::move(faults));
+
+  std::size_t processed = 0;
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(pair.alice.connect(pair.world.bob.id, kNow).ok());
+    processed += pair.converge();
+  }
+  for (int round = 0; round < 8; ++round) {
+    auto rk1 = pair.alice.broker().initiate_ratchet(pair.world.bob.id, kNow);
+    ASSERT_TRUE(rk1.ok());
+    ASSERT_TRUE(pair.link.send(pair.world.alice.id, pair.world.bob.id,
+                               std::move(rk1).value()).ok());
+    processed += pair.converge();
+  }
+
+  const SessionBroker::Stats& a = pair.alice.broker().stats();
+  const SessionBroker::Stats& b = pair.bob.broker().stats();
+  EXPECT_EQ(processed, 36u);
+  EXPECT_EQ(a.handshakes_completed, 4u);
+  EXPECT_EQ(a.retransmits, 7u);
+  EXPECT_EQ(a.ratchet_retransmits, 1u);
+  EXPECT_EQ(a.ratchet_acks_received, 8u);
+  EXPECT_EQ(a.handshakes_aborted, 0u);
+  EXPECT_EQ(b.handshakes_completed, 4u);
+  EXPECT_EQ(b.duplicates_ignored, 4u);
+  EXPECT_EQ(b.ratchets_received, 8u);
+  EXPECT_EQ(b.ratchet_acks_sent, 8u);
+  EXPECT_EQ(b.handshakes_failed, 0u);
+  EXPECT_EQ(pair.link.stats().sent, 44u);
+  EXPECT_EQ(pair.link.stats().dropped, 8u);
+  EXPECT_DOUBLE_EQ(pair.link.now_ms(), 390.78791281775318);
+  EXPECT_EQ(pair.alice.broker().store().epoch(pair.world.bob.id), 8u);
+  EXPECT_EQ(pair.bob.broker().store().epoch(pair.world.alice.id), 8u);
+  EXPECT_EQ(pair.alice.broker().reliability_backlog(), 0u);
+}
+
+TEST(Reliability, SettleOnAnIdealLinkStopsAtTheFirstFixpoint) {
+  // The ideal link's clock cannot move, so an armed retransmission timer
+  // can never come due: settle() must return after one fixpoint instead
+  // of spinning on a deadline it cannot reach.
+  testing::World world;
+  rng::TestRng rng_a(61), rng_b(62);
+  IdealLinkTransport link;
+  ConcurrentSessionBroker alice(world.alice, rng_a, link, {reliable_config(), 0});
+  ConcurrentSessionBroker bob(world.bob, rng_b, link, {reliable_config(), 0});
+
+  // The A1 is addressed to bob, but only alice is settled: it stays queued.
+  ASSERT_TRUE(alice.connect(world.bob.id, kNow).ok());
+  ASSERT_TRUE(alice.broker().next_retransmit_due_ms().has_value());
+  EXPECT_EQ(settle({&alice}, kNow), 0u);
+  EXPECT_EQ(alice.broker().reliability_backlog(), 1u);
+  EXPECT_EQ(alice.broker().stats().retransmits, 0u);
+  EXPECT_EQ(link.now_ms(), 0.0);
+
+  // Settling both completes the handshake at the same (unmoved) instant.
+  EXPECT_EQ(settle({&alice, &bob}, kNow), 4u);
+  EXPECT_TRUE(alice.broker().session_ready(world.bob.id, kNow));
+  EXPECT_EQ(alice.broker().stats().retransmits, 0u);
 }
 
 TEST(Reliability, VirtualTimeSweepExpiresStalledHandshakes) {

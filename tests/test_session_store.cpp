@@ -56,6 +56,11 @@ TEST(SessionStore, CapacityBoundHoldsUnderChurn) {
 TEST(SessionStore, SealOpenRoundTripAcrossStores) {
   SessionStore a(Role::kInitiator, config(8));
   SessionStore b(Role::kResponder, config(8));
+  // No session before install: a rekey is due and nothing seals.
+  EXPECT_TRUE(a.needs_rekey(peer(1), kT0));
+  EXPECT_EQ(a.seal(peer(1), bytes_of("x"), kT0).error(), Error::kBadState);
+  EXPECT_EQ(a.active_sessions(), 0u);
+
   const auto keys = keys_for("pair");
   a.install(peer(1), keys, kT0);
   b.install(peer(1), keys, kT0);
@@ -64,6 +69,13 @@ TEST(SessionStore, SealOpenRoundTripAcrossStores) {
   auto opened = b.open(peer(1), record.value(), kT0);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened.value(), bytes_of("telemetry"));
+
+  // A record sealed under the old keys does not open once the receiver
+  // has installed new ones.
+  auto old_record = a.seal(peer(1), bytes_of("old keys"), kT0);
+  ASSERT_TRUE(old_record.ok());
+  b.install(peer(1), keys_for("rekeyed"), kT0);
+  EXPECT_FALSE(b.open(peer(1), old_record.value(), kT0).ok());
 }
 
 TEST(SessionStore, DeadSessionsReclaimedOnLookupAndSweep) {
@@ -73,22 +85,32 @@ TEST(SessionStore, DeadSessionsReclaimedOnLookupAndSweep) {
   for (int i = 0; i < 10; ++i) store.install(peer(i), keys_for("d" + std::to_string(i)), kT0);
   EXPECT_EQ(store.active_sessions(), 10u);
 
+  EXPECT_FALSE(store.needs_rekey(peer(0), kT0 + 60));  // the age boundary is inclusive
+  EXPECT_TRUE(store.seal(peer(0), bytes_of("m"), kT0 + 60).ok());
+  EXPECT_EQ(store.seal(peer(1), bytes_of("m"), kT0 + 61).error(), Error::kBadState);
+  EXPECT_EQ(store.active_sessions(), 9u);  // the refused seal evicted peer 1
   EXPECT_TRUE(store.needs_rekey(peer(0), kT0 + 61));  // touch evicts
-  EXPECT_EQ(store.active_sessions(), 9u);
-  EXPECT_EQ(store.sweep(kT0 + 61), 9u);  // bulk sweep reclaims the rest
+  EXPECT_EQ(store.active_sessions(), 8u);
+  EXPECT_EQ(store.sweep(kT0 + 61), 8u);  // bulk sweep reclaims the rest
   EXPECT_EQ(store.active_sessions(), 0u);
   EXPECT_EQ(store.stats().dead_evictions, 10u);
 }
 
 TEST(SessionStore, SpentBudgetWithoutRatchetBudgetIsDead) {
   // max_epochs = 0 disables resumption: a spent session dies on touch.
-  SessionStore store(Role::kInitiator, config(8, 1, RekeyPolicy{2, UINT64_MAX}, 0));
+  SessionStore store(Role::kInitiator, config(8, 1, RekeyPolicy{2, 60}, 0));
   store.install(peer(1), keys_for("spend"), kT0);
-  (void)store.seal(peer(1), bytes_of("m"), kT0);
-  (void)store.seal(peer(1), bytes_of("m"), kT0);
+  EXPECT_TRUE(store.seal(peer(1), bytes_of("m"), kT0).ok());
+  EXPECT_TRUE(store.seal(peer(1), bytes_of("m"), kT0).ok());
   EXPECT_TRUE(store.needs_rekey(peer(1), kT0));
   EXPECT_EQ(store.active_sessions(), 0u);
   EXPECT_EQ(store.stats().dead_evictions, 1u);
+  EXPECT_EQ(store.seal(peer(1), bytes_of("m"), kT0).error(), Error::kBadState);
+
+  // Reinstalling resets both budgets: the record count and the age clock.
+  store.install(peer(1), keys_for("respend"), kT0 + 100);
+  EXPECT_FALSE(store.needs_rekey(peer(1), kT0 + 100));
+  EXPECT_TRUE(store.seal(peer(1), bytes_of("m"), kT0 + 100).ok());
 }
 
 TEST(SessionStore, RatchetResumesSpentSession) {
@@ -206,6 +228,8 @@ TEST(SessionStore, ShardedLookupsStayIndependent) {
   }
   store.retire(peer(42));
   EXPECT_EQ(store.active_sessions(), 127u);
+  store.retire(peer(42));  // idempotent
+  EXPECT_EQ(store.active_sessions(), 127u);
   EXPECT_TRUE(store.needs_rekey(peer(42), kT0));
   EXPECT_FALSE(store.needs_rekey(peer(43), kT0));
 }
@@ -226,7 +250,6 @@ TEST(SessionStore, ConcurrentInstallSealSweepStress) {
   cfg.shards = 16;
   cfg.policy = RekeyPolicy::unlimited();
   cfg.max_epochs = 4;
-  cfg.concurrent = true;
   SessionStore store(Role::kInitiator, cfg);
 
   constexpr std::size_t kThreads = 8;
